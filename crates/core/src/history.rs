@@ -20,7 +20,9 @@ use crate::grouping::MiddleKey;
 use blameit_simnet::TimeBucket;
 use blameit_topology::rng::DetRng;
 use blameit_topology::{CloudLocId, PathId};
-use std::collections::VecDeque;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// Key of an expected-RTT series.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -154,6 +156,10 @@ impl ExpectedRttLearner {
 pub struct DurationHistory {
     pub(crate) per_path: DetHashMap<PathId, VecDeque<u32>>,
     pub(crate) global: VecDeque<u32>,
+    /// `duration → count` over `global`, derived (never persisted):
+    /// lets the global fallback answer from the durations above
+    /// `elapsed` instead of scanning up to 8192 samples.
+    global_hist: BTreeMap<u32, u32>,
     pub(crate) cap: usize,
 }
 
@@ -162,9 +168,28 @@ impl DurationHistory {
     /// 8192).
     pub fn new() -> Self {
         DurationHistory {
-            per_path: DetHashMap::default(),
-            global: VecDeque::new(),
             cap: 512,
+            ..DurationHistory::default()
+        }
+    }
+
+    /// A history holding exactly the given samples (snapshot decode),
+    /// with the derived global histogram rebuilt from `global`.
+    // lint:allow(transitive-effect): the call graph binds `.entry` by name to MetricsRegistry::entry; here it is BTreeMap::entry, which cannot panic
+    pub(crate) fn from_parts(
+        per_path: DetHashMap<PathId, VecDeque<u32>>,
+        global: VecDeque<u32>,
+        cap: usize,
+    ) -> Self {
+        let mut global_hist = BTreeMap::new();
+        for &d in &global {
+            *global_hist.entry(d).or_insert(0) += 1;
+        }
+        DurationHistory {
+            per_path,
+            global,
+            global_hist,
+            cap,
         }
     }
 
@@ -176,9 +201,17 @@ impl DurationHistory {
         }
         q.push_back(duration_buckets);
         if self.global.len() == self.cap * 16 {
-            self.global.pop_front();
+            if let Some(old) = self.global.pop_front() {
+                if let Entry::Occupied(mut e) = self.global_hist.entry(old) {
+                    *e.get_mut() -= 1;
+                    if *e.get() == 0 {
+                        e.remove();
+                    }
+                }
+            }
         }
         self.global.push_back(duration_buckets);
+        *self.global_hist.entry(duration_buckets).or_insert(0) += 1;
     }
 
     /// Expected *additional* buckets given the issue has already lasted
@@ -187,24 +220,38 @@ impl DurationHistory {
     /// nothing in its history survives past `elapsed`). Returns 1.0
     /// when no history is informative — the conservative "it might end
     /// next bucket" guess.
+    ///
+    /// Survivor counts and residual sums are exact integers (a sum of
+    /// at most 8192 values below 2^32 stays below 2^53), so the one
+    /// final division gives the same `f64` as summing the residuals in
+    /// floating point would.
     pub fn expected_remaining(&self, path: PathId, elapsed: u32) -> f64 {
-        let residual = |ds: &VecDeque<u32>| -> Option<f64> {
-            let survivors: Vec<u32> = ds.iter().copied().filter(|d| *d > elapsed).collect();
-            if survivors.is_empty() {
-                None
-            } else {
-                Some(
-                    survivors.iter().map(|d| (d - elapsed) as f64).sum::<f64>()
-                        / survivors.len() as f64,
-                )
-            }
-        };
         let per_path = self
             .per_path
             .get(&path)
             .filter(|ds| ds.len() >= 10)
-            .and_then(residual);
-        per_path.or_else(|| residual(&self.global)).unwrap_or(1.0)
+            .map(|ds| {
+                ds.iter()
+                    .filter(|&&d| d > elapsed)
+                    .fold((0u64, 0u64), |(n, sum), &d| {
+                        (n + 1, sum + u64::from(d - elapsed))
+                    })
+            })
+            .filter(|&(n, _)| n > 0);
+        let (n, sum) = per_path.unwrap_or_else(|| {
+            self.global_hist.range((Excluded(elapsed), Unbounded)).fold(
+                (0u64, 0u64),
+                |(n, sum), (&d, &c)| {
+                    let c = u64::from(c);
+                    (n + c, sum + c * u64::from(d - elapsed))
+                },
+            )
+        });
+        if n == 0 {
+            1.0
+        } else {
+            sum as f64 / n as f64
+        }
     }
 
     /// Total incidents recorded (globally).
@@ -379,6 +426,92 @@ mod tests {
         assert_eq!(h.expected_remaining(PathId(1), 100), 1.0);
         // Empty history entirely.
         assert_eq!(DurationHistory::new().expected_remaining(PathId(9), 3), 1.0);
+    }
+
+    /// The pre-histogram scan, kept as the reference the histogram
+    /// answer must reproduce bit for bit.
+    fn reference_remaining(h: &DurationHistory, path: PathId, elapsed: u32) -> f64 {
+        let residual = |ds: &VecDeque<u32>| -> Option<f64> {
+            let survivors: Vec<u32> = ds.iter().copied().filter(|d| *d > elapsed).collect();
+            if survivors.is_empty() {
+                None
+            } else {
+                Some(
+                    survivors.iter().map(|d| (d - elapsed) as f64).sum::<f64>()
+                        / survivors.len() as f64,
+                )
+            }
+        };
+        let per_path = h
+            .per_path
+            .get(&path)
+            .filter(|ds| ds.len() >= 10)
+            .and_then(residual);
+        per_path.or_else(|| residual(&h.global)).unwrap_or(1.0)
+    }
+
+    fn assert_matches_reference(h: &DurationHistory, paths: u32, max_elapsed: u32) {
+        let mut elapsed: Vec<u32> = (0..=max_elapsed.min(64)).collect();
+        elapsed.extend([max_elapsed / 2, max_elapsed, max_elapsed + 1, u32::MAX]);
+        for p in 0..=paths {
+            for &e in &elapsed {
+                let got = h.expected_remaining(PathId(p), e);
+                let want = reference_remaining(h, PathId(p), e);
+                assert_eq!(got.to_bits(), want.to_bits(), "path {p} elapsed {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn residual_life_matches_reference_scan_bit_for_bit() {
+        for seed in 0..12u64 {
+            let mut rng = DetRng::from_keys(seed, &[0xD0A7]);
+            let mut h = DurationHistory::new();
+            // Small caps so eviction past 16 × cap happens many times.
+            h.cap = 1 + rng.below(12) as usize;
+            let max_d = 1 + rng.below(400) as u32;
+            for _ in 0..rng.range_u64(0, 40 * h.cap as u64 * 16) {
+                let d = 1 + rng.below(u64::from(max_d)) as u32;
+                h.record(PathId(rng.below(6) as u32), d);
+            }
+            assert!(h.global.len() <= h.cap * 16);
+            assert_matches_reference(&h, 6, max_d);
+            let round = DurationHistory::from_parts(h.per_path.clone(), h.global.clone(), h.cap);
+            assert_matches_reference(&round, 6, max_d);
+        }
+    }
+
+    #[test]
+    fn residual_life_per_path_threshold_is_ten_samples() {
+        for n in [9usize, 10] {
+            let mut h = DurationHistory::new();
+            for i in 0..n {
+                h.record(PathId(1), 30 + i as u32);
+            }
+            // Other paths pull the global mean well away from path 1's.
+            for _ in 0..40 {
+                h.record(PathId(2), 3);
+            }
+            assert_matches_reference(&h, 3, 50);
+            let local = h.expected_remaining(PathId(1), 0);
+            assert_eq!(local > 25.0, n == 10, "{n} samples: {local}");
+        }
+    }
+
+    #[test]
+    fn residual_life_extreme_durations_match_reference() {
+        let mut h = DurationHistory::new();
+        for d in [u32::MAX, u32::MAX - 1, 1, u32::MAX, 7, 7, 7, 7, 7, 7] {
+            h.record(PathId(4), d);
+        }
+        h.record(PathId(5), u32::MAX);
+        for e in [0, 1, 6, 7, 8, u32::MAX - 2, u32::MAX - 1, u32::MAX] {
+            for p in [4, 5, 9] {
+                let got = h.expected_remaining(PathId(p), e);
+                let want = reference_remaining(&h, PathId(p), e);
+                assert_eq!(got.to_bits(), want.to_bits(), "path {p} elapsed {e}");
+            }
+        }
     }
 
     #[test]

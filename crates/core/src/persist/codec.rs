@@ -71,37 +71,83 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// CRC32 (IEEE, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0u32;
+/// CRC32 (IEEE, reflected) slicing-by-8 tables, built at compile time.
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k]`
+/// advances a byte's contribution past `k` further zero bytes, so one
+/// step folds eight input bytes with eight independent lookups.
+const CRC_TABLES: [CrcTable; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0usize;
     while i < 256 {
-        let mut c = i;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
+        // lint:allow(as-cast-truncation): const-eval table build, i ranges over 0..256 by construction — fits u32
+        let mut c = crc_of_byte(i as u32);
+        let mut t = 0;
+        while t < 8 {
+            // lint:allow(panic-in-decode): const-eval table build, t < 8 and i < 256 by the loop bounds — cannot see runtime input
+            tables[t][i] = c;
+            c = (c >> 8) ^ crc_of_byte(c & 0xFF);
+            t += 1;
         }
-        // lint:allow(panic-in-decode): const-eval table build, i ranges over 0..256 by construction — cannot see runtime input
-        table[i as usize] = c;
         i += 1;
     }
-    table
+    tables
 };
+
+/// The reflected IEEE CRC register after shifting out the byte `x`.
+const fn crc_of_byte(x: u32) -> u32 {
+    let mut c = x;
+    let mut k = 0;
+    while k < 8 {
+        c = if c & 1 != 0 {
+            0xEDB8_8320 ^ (c >> 1)
+        } else {
+            c >> 1
+        };
+        k += 1;
+    }
+    c
+}
+
+/// One 256-entry CRC table.
+type CrcTable = [u32; 256];
+
+/// The entry of `table` for the low byte of `x`.
+#[inline(always)]
+fn lookup(table: &CrcTable, x: u32) -> u32 {
+    // lint:allow(panic-in-decode): index is masked to 0..=255 and every CRC table has 256 entries — infallible for any input
+    table[(x & 0xFF) as usize]
+}
 
 /// CRC32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        // lint:allow(panic-in-decode): index is masked to 0..=255 and CRC_TABLE has 256 entries — infallible for any input byte
-        // lint:allow(as-cast-truncation): b is a u8; u8 → u32 widens, nothing to truncate
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    crc32_update(0, bytes)
+}
+
+/// Extends a finished CRC32 over more bytes:
+/// `crc32_update(crc32(a), b) == crc32(a ‖ b)`, so a checksum can be
+/// streamed over pieces that are never concatenated in memory.
+/// Eight bytes per step via the slicing tables, then a byte-at-a-time
+/// tail.
+pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+    let mut c = !crc;
+    let (words, tail) = bytes.as_chunks::<8>();
+    for &[a0, a1, a2, a3, b0, b1, b2, b3] in words {
+        let lo = u32::from_le_bytes([a0, a1, a2, a3]) ^ c;
+        let hi = u32::from_le_bytes([b0, b1, b2, b3]);
+        c = lookup(t7, lo)
+            ^ lookup(t6, lo >> 8)
+            ^ lookup(t5, lo >> 16)
+            ^ lookup(t4, lo >> 24)
+            ^ lookup(t3, hi)
+            ^ lookup(t2, hi >> 8)
+            ^ lookup(t1, hi >> 16)
+            ^ lookup(t0, hi >> 24);
     }
-    c ^ 0xFFFF_FFFF
+    for &b in tail {
+        c = lookup(t0, c ^ u32::from(b)) ^ (c >> 8);
+    }
+    !c
 }
 
 /// Little-endian byte writer.
@@ -114,6 +160,14 @@ impl ByteWriter {
     /// An empty writer.
     pub fn new() -> Self {
         ByteWriter::default()
+    }
+
+    /// An empty writer with room for `n` bytes, for callers that know
+    /// their encoded size up front.
+    pub fn with_capacity(n: usize) -> Self {
+        ByteWriter {
+            buf: Vec::with_capacity(n),
+        }
     }
 
     /// The bytes written so far.
@@ -260,6 +314,24 @@ impl<'a> ByteReader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Reads a column of `n` little-endian u64s with one bounds check.
+    pub fn u64_column(&mut self, n: usize) -> Result<Vec<u64>, CodecError> {
+        let Some(bytes) = n.checked_mul(8) else {
+            return Err(CodecError::Invalid("column length overflows"));
+        };
+        let (words, _) = self.take(bytes)?.as_chunks::<8>();
+        Ok(words.iter().map(|w| u64::from_le_bytes(*w)).collect())
+    }
+
+    /// Reads a column of `n` f64s (bit patterns) with one bounds check.
+    pub fn f64_column(&mut self, n: usize) -> Result<Vec<f64>, CodecError> {
+        Ok(self
+            .u64_column(n)?
+            .into_iter()
+            .map(f64::from_bits)
+            .collect())
+    }
+
     /// Reads a bool byte (must be 0 or 1).
     pub fn bool(&mut self) -> Result<bool, CodecError> {
         match self.u8()? {
@@ -333,14 +405,11 @@ pub fn read_preamble<'a>(bytes: &'a [u8], want_kind: u8) -> Result<ByteReader<'a
 
 /// Appends one framed section: `id · len · payload · crc32(id‖len‖payload)`.
 pub fn write_section(w: &mut ByteWriter, id: u8, payload: &[u8]) {
+    let len = (payload.len() as u64).to_le_bytes();
     w.put_u8(id);
-    w.put_u64(payload.len() as u64);
-    let mut crc_input = Vec::with_capacity(9 + payload.len());
-    crc_input.push(id);
-    crc_input.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    crc_input.extend_from_slice(payload);
+    w.put_bytes(&len);
     w.put_bytes(payload);
-    w.put_u32(crc32(&crc_input));
+    w.put_u32(section_crc(id, &len, payload));
 }
 
 /// Reads one framed section, validating its CRC. Returns `(id, payload)`.
@@ -355,14 +424,16 @@ pub fn read_section<'a>(r: &mut ByteReader<'a>) -> Result<(u8, &'a [u8]), CodecE
     }
     let payload = r.take(len as usize)?;
     let stored = r.u32()?;
-    let mut crc_input = Vec::with_capacity(9 + payload.len());
-    crc_input.push(id);
-    crc_input.extend_from_slice(&len.to_le_bytes());
-    crc_input.extend_from_slice(payload);
-    if crc32(&crc_input) != stored {
+    if section_crc(id, &len.to_le_bytes(), payload) != stored {
         return Err(CodecError::BadCrc { section: id });
     }
     Ok((id, payload))
+}
+
+/// `crc32(id ‖ len ‖ payload)`, streamed so the payload is never
+/// copied next to its header.
+fn section_crc(id: u8, len: &[u8; 8], payload: &[u8]) -> u32 {
+    crc32_update(crc32_update(crc32(&[id]), len), payload)
 }
 
 #[cfg(test)]
@@ -374,6 +445,79 @@ mod tests {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time kernel the slicing tables replace.
+    fn reference_crc32(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    fn noise(n: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slicing_kernel_matches_reference_at_every_length_and_alignment() {
+        let buf = noise(4096 + 8, 0x9E37_79B9_7F4A_7C15);
+        for start in 0..8 {
+            for len in 0..=4096 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(
+                    crc32(bytes),
+                    reference_crc32(bytes),
+                    "len {len} at alignment {start}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_crc_equals_one_shot_at_every_split() {
+        let mut w = ByteWriter::new();
+        write_section(&mut w, 3, &noise(300, 7));
+        let frame = w.into_bytes();
+        let whole = crc32(&frame);
+        for cut in 0..=frame.len() {
+            let (a, b) = frame.split_at(cut);
+            assert_eq!(crc32_update(crc32(a), b), whole, "split at {cut}");
+        }
+        assert_eq!(crc32_update(0, &frame), whole);
+    }
+
+    #[test]
+    fn columns_roundtrip_and_reject_short_input() {
+        let keys = [0u64, 1, u64::MAX, 0x0123_4567_89AB_CDEF];
+        let rtt = [0.5f64, -0.0, f64::INFINITY, 1e300];
+        let mut w = ByteWriter::new();
+        keys.iter().for_each(|&k| w.put_u64(k));
+        rtt.iter().for_each(|&x| w.put_f64(x));
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(r.u64_column(4).unwrap(), keys);
+        let got = r.f64_column(4).unwrap();
+        assert_eq!(
+            got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            rtt.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
+        assert_eq!(r.remaining(), 0);
+        let mut r = ByteReader::new(&bytes[..31]);
+        assert!(matches!(
+            r.u64_column(4),
+            Err(CodecError::Truncated { at: 0, wanted: 32 })
+        ));
+        assert!(ByteReader::new(&bytes).u64_column(usize::MAX).is_err());
     }
 
     #[test]

@@ -672,11 +672,7 @@ fn decode_durations(payload: &[u8]) -> Result<DurationHistory, CodecError> {
     if r.remaining() != 0 {
         return Err(CodecError::Invalid("trailing bytes in durations section"));
     }
-    Ok(DurationHistory {
-        per_path,
-        global,
-        cap,
-    })
+    Ok(DurationHistory::from_parts(per_path, global, cap))
 }
 
 fn encode_client_hist(h: &ClientCountHistory) -> Vec<u8> {

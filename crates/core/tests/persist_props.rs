@@ -231,11 +231,21 @@ fn snapshot_roundtrip_is_canonical_and_lossless() {
             state.durations.total_recorded(),
             round.durations.total_recorded()
         );
-        for p in 0..20 {
-            for elapsed in [0u32, 3, 50] {
+        // Over a (path, elapsed) grid spanning unknown paths and
+        // elapsed values past every recorded duration — catches a
+        // derived duration index that decode fails to rebuild.
+        for p in 0..=20 {
+            for elapsed in [0u32, 1, 3, 9, 10, 50, 150, 298, 299, 300, u32::MAX] {
                 assert_eq!(
-                    state.durations.expected_remaining(PathId(p), elapsed),
-                    round.durations.expected_remaining(PathId(p), elapsed),
+                    state
+                        .durations
+                        .expected_remaining(PathId(p), elapsed)
+                        .to_bits(),
+                    round
+                        .durations
+                        .expected_remaining(PathId(p), elapsed)
+                        .to_bits(),
+                    "path {p} elapsed {elapsed}"
                 );
             }
         }

@@ -332,7 +332,8 @@ impl<B: Backend> DaemonCore<B> {
         let outs = self.run_ready(true)?;
         self.durable.checkpoint_now()?;
         self.backend.prune_below(self.next_tick_start());
-        self.wal.compact(&self.backend.retained())?;
+        let wal = &mut self.wal;
+        self.backend.with_retained(|kept| wal.compact(kept))?;
         self.m_queue_depth.set(self.queue_depth() as f64);
         Ok(outs)
     }
@@ -406,6 +407,7 @@ impl<B: Backend> DaemonCore<B> {
         self.backend.prune_below(TimeBucket(cutoff));
         // Compaction failure is not fatal: the WAL is merely larger
         // than needed, and the next prune retries.
-        let _ = self.wal.compact(&self.backend.retained());
+        let wal = &mut self.wal;
+        let _ = self.backend.with_retained(|kept| wal.compact(kept));
     }
 }

@@ -101,11 +101,15 @@ impl<B: Backend> QueueBackend<B> {
         *q = q.split_off(&cutoff.0);
     }
 
-    /// The retained batches in (bucket, arrival) order, for WAL
-    /// compaction.
-    pub fn retained(&self) -> Vec<RecordBatch> {
+    /// Runs `f` over the retained batches in (bucket, arrival) order,
+    /// borrowed under the queue lock — WAL compaction rewrites them
+    /// without cloning the queue.
+    pub fn with_retained<R>(
+        &self,
+        f: impl FnOnce(&mut dyn Iterator<Item = &RecordBatch>) -> R,
+    ) -> R {
         let q = self.queued.lock().expect("queue lock");
-        q.values().flat_map(|v| v.iter().cloned()).collect()
+        f(&mut q.values().flatten())
     }
 }
 

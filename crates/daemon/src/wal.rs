@@ -16,7 +16,7 @@
 //! detected by the section CRC and truncated on replay, exactly like
 //! the tick journal.
 
-use crate::wire::{decode_frame, encode_frame, Frame};
+use crate::wire::{decode_frame, encode_batch, Frame};
 use blameit::persist::codec::{self, ByteWriter};
 use blameit::RecordBatch;
 use std::fs::{File, OpenOptions};
@@ -89,12 +89,7 @@ impl IngestWal {
     /// Appends one admitted batch and fsyncs. Only after this returns
     /// may the batch become engine-visible.
     pub fn append(&mut self, batch: &RecordBatch) -> io::Result<()> {
-        let payload = encode_frame(&Frame::Batch {
-            batch: batch.clone(),
-        });
-        let mut w = ByteWriter::new();
-        codec::write_section(&mut w, SEC_BATCH, &payload);
-        self.file.write_all(&w.into_bytes())?;
+        self.file.write_all(&wal_record(batch))?;
         self.file.sync_data()
     }
 
@@ -102,19 +97,19 @@ impl IngestWal {
     /// buckets a durable snapshot does not yet cover), via temp file +
     /// fsync + rename so a kill mid-compaction leaves the old WAL
     /// intact.
-    pub fn compact(&mut self, retained: &[RecordBatch]) -> io::Result<()> {
+    pub fn compact<'a>(
+        &mut self,
+        retained: impl IntoIterator<Item = &'a RecordBatch>,
+    ) -> io::Result<()> {
         let tmp = self.path.with_extension("wal.tmp");
-        let mut w = ByteWriter::new();
-        codec::write_preamble(&mut w, KIND_INGEST_WAL);
-        for batch in retained {
-            let payload = encode_frame(&Frame::Batch {
-                batch: batch.clone(),
-            });
-            codec::write_section(&mut w, SEC_BATCH, &payload);
-        }
         {
             let mut f = File::create(&tmp)?;
+            let mut w = ByteWriter::new();
+            codec::write_preamble(&mut w, KIND_INGEST_WAL);
             f.write_all(&w.into_bytes())?;
+            for batch in retained {
+                f.write_all(&wal_record(batch))?;
+            }
             f.sync_data()?;
         }
         std::fs::rename(&tmp, &self.path)?;
@@ -130,6 +125,14 @@ impl IngestWal {
         self.file = f;
         Ok(())
     }
+}
+
+/// One WAL record: a section whose payload is the batch's wire frame.
+fn wal_record(batch: &RecordBatch) -> Vec<u8> {
+    let payload = encode_batch(batch);
+    let mut w = ByteWriter::with_capacity(1 + 8 + payload.len() + 4);
+    codec::write_section(&mut w, SEC_BATCH, &payload);
+    w.into_bytes()
 }
 
 /// Walks `bytes`, returning (recovered batches, valid byte length,

@@ -109,18 +109,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             w.put_u8(KIND_HELLO);
             w.put_u16(*version);
         }
-        Frame::Batch { batch } => {
-            w.put_u8(KIND_BATCH);
-            w.put_u32(batch.bucket.0);
-            // lint:allow(as-cast-truncation): a batch near u32::MAX keys is undecodable anyway — write_frame rejects past the 64 MiB frame cap (~8M keys)
-            w.put_u32(batch.keys.len() as u32);
-            for &k in &batch.keys {
-                w.put_u64(k);
-            }
-            for &r in &batch.rtt {
-                w.put_f64(r);
-            }
-        }
+        Frame::Batch { batch } => return encode_batch(batch),
         Frame::Term => w.put_u8(KIND_TERM),
         Frame::Ack {
             admitted,
@@ -149,6 +138,29 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             w.put_bytes(b);
         }
     }
+    seal(w)
+}
+
+/// Encodes a `BATCH` frame payload straight from a borrowed batch (the
+/// WAL's path: no `Frame` wrapper, no clone), sized up front.
+pub fn encode_batch(batch: &RecordBatch) -> Vec<u8> {
+    let n = batch.keys.len();
+    let mut w = ByteWriter::with_capacity(1 + 4 + 4 + 16 * n + 4);
+    w.put_u8(KIND_BATCH);
+    w.put_u32(batch.bucket.0);
+    // lint:allow(as-cast-truncation): a batch near u32::MAX keys is undecodable anyway — write_frame rejects past the 64 MiB frame cap (~8M keys)
+    w.put_u32(n as u32);
+    for &k in &batch.keys {
+        w.put_u64(k);
+    }
+    for &r in &batch.rtt {
+        w.put_f64(r);
+    }
+    seal(w)
+}
+
+/// Appends the CRC of everything written so far.
+fn seal(w: ByteWriter) -> Vec<u8> {
     let mut bytes = w.into_bytes();
     let crc = crc32(&bytes);
     bytes.extend_from_slice(&crc.to_le_bytes());
@@ -181,14 +193,12 @@ pub fn decode_frame(payload: &[u8]) -> Result<Frame, WireError> {
                     r.remaining()
                 )));
             }
-            let mut keys = Vec::with_capacity(n);
-            for _ in 0..n {
-                keys.push(r.u64().map_err(|e| werr(format!("batch key: {e}")))?);
-            }
-            let mut rtt = Vec::with_capacity(n);
-            for _ in 0..n {
-                rtt.push(r.f64().map_err(|e| werr(format!("batch rtt: {e}")))?);
-            }
+            let keys = r
+                .u64_column(n)
+                .map_err(|e| werr(format!("batch keys: {e}")))?;
+            let rtt = r
+                .f64_column(n)
+                .map_err(|e| werr(format!("batch rtt: {e}")))?;
             Frame::Batch {
                 batch: RecordBatch { bucket, keys, rtt },
             }

@@ -43,8 +43,8 @@ BLAMEIT_THREADS=8 cargo test --release -q --test chaos_determinism
 echo "==> BLAMEIT_THREADS=8 cargo test --release -q --test crash_recovery"
 BLAMEIT_THREADS=8 cargo test --release -q --test crash_recovery
 
-echo "==> BLAMEIT_THREADS=8 cargo test --release -q --test daemon_overload --test daemon_crash --test daemon_smoke"
-BLAMEIT_THREADS=8 cargo test --release -q --test daemon_overload --test daemon_crash --test daemon_smoke
+echo "==> BLAMEIT_THREADS=8 cargo test --release -q --test daemon_overload --test daemon_crash --test daemon_smoke --test daemon_byte_identity"
+BLAMEIT_THREADS=8 cargo test --release -q --test daemon_overload --test daemon_crash --test daemon_smoke --test daemon_byte_identity
 
 echo "==> blameitd smoke: 10x surge feed, live scrapes, clean TERM, resume"
 DSTATE=$(mktemp -d)

@@ -16,7 +16,7 @@ use blameit_daemon::{
 use blameit_obs::MetricsRegistry;
 use blameit_simnet::{SurgePlan, TimeBucket, TimeRange, World};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn state_dir(tag: &str) -> PathBuf {
@@ -30,6 +30,20 @@ fn config(world: &World, dir: &Path) -> BlameItConfig {
     cfg.state_dir = Some(dir.to_path_buf());
     cfg.snapshot_every_ticks = 2;
     cfg
+}
+
+/// Raises the server's shutdown flag if dropped while unwinding: a
+/// failed assertion in the feeder then stops `Server::run` and fails
+/// the test, instead of leaving the scope join waiting on a server
+/// that polls forever.
+struct StopServerOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for StopServerOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
 }
 
 fn dcfg() -> DaemonConfig {
@@ -73,6 +87,7 @@ fn daemon_serves_feeds_scrapes_and_terminates() {
 
     let summary = std::thread::scope(|s| {
         let handle = s.spawn(|| server.run(&mut core, &clock, &shutdown).unwrap());
+        let _stop = StopServerOnPanic(&shutdown);
 
         // Quiet first half, no TERM: the connection closes, the daemon
         // keeps serving.
