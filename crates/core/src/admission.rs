@@ -183,10 +183,12 @@ impl AdmissionController {
             };
         }
         batch.sort_by_key();
-        let scored = self.score_batch(&batch);
         let need = (queue_depth + offered).saturating_sub(self.cfg.shed_watermark_records);
         let mut shed: Vec<GroupScore> = Vec::new();
         if need > 0 {
+            // Scores feed only shedding, so a batch under the
+            // watermark is never scored.
+            let scored = self.score_batch(&batch);
             // The top impact decile (≥ 1 group) is off limits to both
             // passes: `scored` is ascending, so the protected set is
             // exactly its tail and shedding only walks the prefix.

@@ -123,23 +123,62 @@ impl RecordBatch {
     /// sort-by-key ingest design: batches arrive at the aggregation
     /// kernel already key-ordered, and the kernel's run collapse never
     /// needs its sort tiers. No-op on already-sorted batches.
+    ///
+    /// A counting sort over the distinct keys: each key gets a dense id
+    /// in first-appearance order, only the ids are ranked, and the
+    /// records are scattered to their key's slots in stream order —
+    /// O(n + g log g) for n records in g groups, and a batch's records
+    /// far outnumber its groups.
     pub fn sort_by_key(&mut self) {
         if self.keys.windows(2).all(|w| w[0] <= w[1]) {
             return;
         }
-        let mut perm: Vec<(u64, u32)> = self
-            .keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (k, i as u32))
-            .collect();
-        // Unstable sort on (key, stream index) pairs is stable in
-        // effect: indices are distinct, so equal keys keep stream
-        // order.
-        perm.sort_unstable();
-        self.keys = perm.iter().map(|&(k, _)| k).collect();
-        let rtt = &self.rtt;
-        self.rtt = perm.iter().map(|&(_, i)| rtt[i as usize]).collect();
+        let n = self.keys.len();
+        // (key, records) per dense id, and each record's id. A run of
+        // one key hashes once. The keys arrive off the wire, so the map
+        // keeps std's seeded SipHash: the Fx hash maps keys that differ
+        // only in their high (location) bits to one bucket chain. The
+        // map is never iterated, so its seed cannot reach the output.
+        // lint:allow(sip-hasher): wire-controlled keys need a collision-resistant hash; ids follow first appearance, never map order
+        let mut dense = std::collections::HashMap::<u64, u32>::new();
+        let mut groups: Vec<(u64, u32)> = Vec::new();
+        let mut ids: Vec<u32> = Vec::with_capacity(n);
+        let mut run: Option<(u64, u32)> = None;
+        for &k in &self.keys {
+            let id = match run {
+                Some((key, id)) if key == k => id,
+                _ => {
+                    let fresh = groups.len() as u32;
+                    let id = *dense.entry(k).or_insert(fresh);
+                    if id == fresh {
+                        groups.push((k, 0));
+                    }
+                    run = Some((k, id));
+                    id
+                }
+            };
+            groups[id as usize].1 += 1;
+            ids.push(id);
+        }
+        // Lay the groups out in key order: the key column is each key
+        // repeated, and `slot[id]` is where the group's next RTT goes.
+        let mut ranked: Vec<u32> = (0..groups.len() as u32).collect();
+        ranked.sort_unstable_by_key(|&id| groups[id as usize].0);
+        let mut slot = vec![0u32; groups.len()];
+        let mut keys = Vec::with_capacity(n);
+        for &id in &ranked {
+            let (key, records) = groups[id as usize];
+            slot[id as usize] = keys.len() as u32;
+            keys.resize(keys.len() + records as usize, key);
+        }
+        let mut rtt = vec![0.0; n];
+        for (&id, &r) in ids.iter().zip(&self.rtt) {
+            let next = &mut slot[id as usize];
+            rtt[*next as usize] = r;
+            *next += 1;
+        }
+        self.keys = keys;
+        self.rtt = rtt;
     }
 }
 
@@ -701,6 +740,77 @@ mod tests {
             seq.to_bits(),
             "stream order within key survived the sort"
         );
+    }
+
+    /// The `(key, stream index)` comparison sort the counting sort
+    /// replaced, kept as its oracle.
+    fn comparison_sort(batch: &mut RecordBatch) {
+        let mut perm: Vec<(u64, u32)> = batch
+            .keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k, i as u32))
+            .collect();
+        perm.sort_unstable();
+        batch.keys = perm.iter().map(|&(k, _)| k).collect();
+        let rtt = &batch.rtt;
+        batch.rtt = perm.iter().map(|&(_, i)| rtt[i as usize]).collect();
+    }
+
+    fn assert_sorts_like_oracle(batch: &RecordBatch, what: &str) {
+        let mut got = batch.clone();
+        got.sort_by_key();
+        let mut want = batch.clone();
+        comparison_sort(&mut want);
+        assert_eq!(got.bucket, want.bucket, "{what}");
+        assert_eq!(got.keys, want.keys, "{what}: keys");
+        let bits = |b: &RecordBatch| b.rtt.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "{what}: rtt bits");
+    }
+
+    #[test]
+    fn counting_sort_matches_comparison_sort() {
+        let mut rng = blameit_topology::rng::DetRng::new(0x5EED);
+        let mut random_batch = |n: usize, distinct: u64| RecordBatch {
+            bucket: TimeBucket(7),
+            keys: (0..n).map(|_| rng.next_u64() % distinct).collect(),
+            rtt: (0..n)
+                .map(|_| (rng.next_u64() % 10_000) as f64 / 7.0)
+                .collect(),
+        };
+        for seed_case in 0..8 {
+            let n = 1 + seed_case * 997;
+            let few = random_batch(n, 3 + seed_case as u64);
+            assert_sorts_like_oracle(&few, &format!("few keys, n={n}"));
+            let all = random_batch(n, u64::MAX);
+            assert_sorts_like_oracle(&all, &format!("all distinct, n={n}"));
+            let mut reversed = few.clone();
+            comparison_sort(&mut reversed);
+            assert_sorts_like_oracle(&reversed, "presorted");
+            reversed.keys.reverse();
+            reversed.rtt.reverse();
+            assert_sorts_like_oracle(&reversed, "reversed");
+        }
+        let specials = [f64::NAN, -0.0, 0.0, -f64::NAN, f64::INFINITY, -1.5];
+        let special = RecordBatch {
+            bucket: TimeBucket(1),
+            keys: vec![9, 3, 9, 3, 1, 9],
+            rtt: specials.to_vec(),
+        };
+        assert_sorts_like_oracle(&special, "NaN and -0.0 RTTs");
+        let equal = RecordBatch {
+            bucket: TimeBucket(1),
+            keys: vec![4; 6],
+            rtt: specials.to_vec(),
+        };
+        assert_sorts_like_oracle(&equal, "all keys equal");
+        assert_sorts_like_oracle(&RecordBatch::default(), "empty");
+        let one = RecordBatch {
+            bucket: TimeBucket(2),
+            keys: vec![u64::MAX],
+            rtt: vec![-0.0],
+        };
+        assert_sorts_like_oracle(&one, "one record");
     }
 
     #[test]

@@ -150,6 +150,64 @@ pub fn crc32_update(crc: u32, bytes: &[u8]) -> u32 {
     !c
 }
 
+/// The reflected CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Product of two polynomials modulo the CRC polynomial, both in the
+/// reflected bit order of a CRC register (bit 31 is `x^0`).
+const fn gf2_mul(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut m = 1u32 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 {
+            (b >> 1) ^ CRC_POLY
+        } else {
+            b >> 1
+        };
+        m >>= 1;
+    }
+    product
+}
+
+/// `X2N[k]` = `x^(2^k)` modulo the CRC polynomial. The multiplicative
+/// order of `x` divides `2^32 - 1`, so `x^(2^32) = x` and the table
+/// repeats with period 32.
+const X2N: [u32; 32] = {
+    let mut table = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0;
+    while k < 32 {
+        // lint:allow(panic-in-decode): const-eval table build, k < 32 by the loop bound — cannot see runtime input
+        table[k] = p;
+        p = gf2_mul(p, p);
+        k += 1;
+    }
+    table
+};
+
+/// The CRC32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and `b.len()`,
+/// without touching the bytes (zlib's `crc32_combine`): `crc_a` is
+/// advanced past `len_b` zero bytes by multiplying it with
+/// `x^(8·len_b)`, assembled from the powers in [`X2N`] — O(log len_b).
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    let mut shift = 1u32 << 31; // x^0
+    let mut n = len_b;
+    // One byte is 2^3 bits, so bit i of `len_b` selects x^(2^(i+3)).
+    for &x2n in X2N.iter().cycle().skip(3) {
+        if n == 0 {
+            break;
+        }
+        if n & 1 != 0 {
+            shift = gf2_mul(x2n, shift);
+        }
+        n >>= 1;
+    }
+    gf2_mul(shift, crc_a) ^ crc_b
+}
+
 /// Little-endian byte writer.
 #[derive(Default)]
 pub struct ByteWriter {
@@ -412,6 +470,23 @@ pub fn write_section(w: &mut ByteWriter, id: u8, payload: &[u8]) {
     w.put_u32(section_crc(id, &len, payload));
 }
 
+/// [`write_section`] for a payload of `len` bytes that `fill` appends
+/// to `out` in place, returning the CRC32 of exactly those bytes. The
+/// section CRC is combined from the header's and the payload's
+/// ([`crc32_combine`]), so the payload is neither copied nor
+/// checksummed a second time.
+pub fn put_section(out: &mut Vec<u8>, id: u8, len: usize, fill: impl FnOnce(&mut Vec<u8>) -> u32) {
+    let [l0, l1, l2, l3, l4, l5, l6, l7] = (len as u64).to_le_bytes();
+    let header = [id, l0, l1, l2, l3, l4, l5, l6, l7];
+    out.reserve(header.len() + len + 4);
+    out.extend_from_slice(&header);
+    let start = out.len();
+    let payload_crc = fill(out);
+    debug_assert_eq!(out.len() - start, len, "section payload length");
+    let crc = crc32_combine(crc32(&header), payload_crc, len as u64);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
 /// Reads one framed section, validating its CRC. Returns `(id, payload)`.
 pub fn read_section<'a>(r: &mut ByteReader<'a>) -> Result<(u8, &'a [u8]), CodecError> {
     let id = r.u8()?;
@@ -494,6 +569,37 @@ mod tests {
             assert_eq!(crc32_update(crc32(a), b), whole, "split at {cut}");
         }
         assert_eq!(crc32_update(0, &frame), whole);
+    }
+
+    #[test]
+    fn combined_crc_equals_one_shot_at_every_split() {
+        let buf = noise(4096, 0xC0FF_EE00_D15E_A5E5);
+        let whole = crc32(&buf);
+        for cut in 0..=buf.len() {
+            let (a, b) = buf.split_at(cut);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                whole,
+                "split at {cut}"
+            );
+        }
+        assert_eq!(crc32_combine(0, 0, 0), 0, "both sides empty");
+    }
+
+    #[test]
+    fn put_section_equals_write_section() {
+        for n in [0usize, 1, 7, 8, 300] {
+            let payload = noise(n, n as u64 + 1);
+            let mut w = ByteWriter::new();
+            write_section(&mut w, 5, &payload);
+            let mut out = vec![0xAA];
+            put_section(&mut out, 5, n, |out| {
+                out.extend_from_slice(&payload);
+                crc32(&payload)
+            });
+            assert_eq!(out[0], 0xAA, "existing bytes kept");
+            assert_eq!(out[1..], w.into_bytes()[..], "payload of {n} bytes");
+        }
     }
 
     #[test]

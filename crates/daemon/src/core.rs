@@ -331,9 +331,9 @@ impl<B: Backend> DaemonCore<B> {
     pub fn term(&mut self) -> Result<Vec<TickOutput>, DaemonError> {
         let outs = self.run_ready(true)?;
         self.durable.checkpoint_now()?;
-        self.backend.prune_below(self.next_tick_start());
-        let wal = &mut self.wal;
-        self.backend.with_retained(|kept| wal.compact(kept))?;
+        let cutoff = self.next_tick_start();
+        self.backend.prune_below(cutoff);
+        self.wal.compact_below(cutoff)?;
         self.m_queue_depth.set(self.queue_depth() as f64);
         Ok(outs)
     }
@@ -406,8 +406,8 @@ impl<B: Backend> DaemonCore<B> {
         self.last_prune_cutoff = cutoff;
         self.backend.prune_below(TimeBucket(cutoff));
         // Compaction failure is not fatal: the WAL is merely larger
-        // than needed, and the next prune retries.
-        let wal = &mut self.wal;
-        let _ = self.backend.with_retained(|kept| wal.compact(kept));
+        // than needed (the append handle never leaves the live file),
+        // and the next prune retries.
+        let _ = self.wal.compact_below(TimeBucket(cutoff));
     }
 }

@@ -100,17 +100,6 @@ impl<B: Backend> QueueBackend<B> {
         let mut q = self.queued.lock().expect("queue lock");
         *q = q.split_off(&cutoff.0);
     }
-
-    /// Runs `f` over the retained batches in (bucket, arrival) order,
-    /// borrowed under the queue lock — WAL compaction rewrites them
-    /// without cloning the queue.
-    pub fn with_retained<R>(
-        &self,
-        f: impl FnOnce(&mut dyn Iterator<Item = &RecordBatch>) -> R,
-    ) -> R {
-        let q = self.queued.lock().expect("queue lock");
-        f(&mut q.values().flatten())
-    }
 }
 
 impl<B: Backend> Backend for QueueBackend<B> {

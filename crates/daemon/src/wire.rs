@@ -141,15 +141,55 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     seal(w)
 }
 
-/// Encodes a `BATCH` frame payload straight from a borrowed batch (the
-/// WAL's path: no `Frame` wrapper, no clone), sized up front.
+/// Encodes a `BATCH` frame payload straight from a borrowed batch (no
+/// `Frame` wrapper, no clone), sized up front.
 pub fn encode_batch(batch: &RecordBatch) -> Vec<u8> {
+    let mut out = Vec::with_capacity(batch_frame_len(batch));
+    put_batch(&mut out, batch);
+    out
+}
+
+/// Bytes [`put_batch`] appends for `batch`: kind, bucket, count, two
+/// 8-byte columns, CRC.
+pub(crate) fn batch_frame_len(batch: &RecordBatch) -> usize {
+    1 + 4 + 4 + 16 * batch.keys.len() + 4
+}
+
+/// Appends a `BATCH` frame payload for `batch` to `out` and returns
+/// its CRC (the value sealed into the frame's last four bytes). Both
+/// columns are filled in bulk and checksummed in one pass, so a caller
+/// framing the payload further (the WAL's section) can combine this
+/// CRC instead of re-reading the bytes.
+pub fn put_batch(out: &mut Vec<u8>, batch: &RecordBatch) -> u32 {
     let n = batch.keys.len();
-    let mut w = ByteWriter::with_capacity(1 + 4 + 4 + 16 * n + 4);
+    debug_assert_eq!(batch.rtt.len(), n, "RecordBatch columns are parallel");
+    let start = out.len();
+    out.reserve(batch_frame_len(batch));
+    out.push(KIND_BATCH);
+    out.extend_from_slice(&batch.bucket.0.to_le_bytes());
+    // lint:allow(as-cast-truncation): a batch near u32::MAX keys is undecodable anyway — write_frame rejects past the 64 MiB frame cap (~8M keys)
+    out.extend_from_slice(&(n as u32).to_le_bytes());
+    let cols = out.len();
+    out.resize(cols + 16 * n, 0);
+    let (key_col, rtt_col) = out[cols..].split_at_mut(8 * n);
+    for (dst, k) in key_col.chunks_exact_mut(8).zip(&batch.keys) {
+        dst.copy_from_slice(&k.to_le_bytes());
+    }
+    for (dst, r) in rtt_col.chunks_exact_mut(8).zip(&batch.rtt) {
+        dst.copy_from_slice(&r.to_bits().to_le_bytes());
+    }
+    let crc = crc32(&out[start..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    crc
+}
+
+/// The `ByteWriter` encoder [`put_batch`] replaced, kept as its oracle.
+#[cfg(test)]
+pub(crate) fn encode_batch_oracle(batch: &RecordBatch) -> Vec<u8> {
+    let mut w = ByteWriter::new();
     w.put_u8(KIND_BATCH);
     w.put_u32(batch.bucket.0);
-    // lint:allow(as-cast-truncation): a batch near u32::MAX keys is undecodable anyway — write_frame rejects past the 64 MiB frame cap (~8M keys)
-    w.put_u32(n as u32);
+    w.put_u32(batch.keys.len() as u32);
     for &k in &batch.keys {
         w.put_u64(k);
     }
@@ -327,6 +367,31 @@ mod tests {
             assert_eq!(read_frame(&mut cursor).unwrap(), Some(f));
         }
         assert_eq!(read_frame(&mut cursor).unwrap(), None, "clean EOF");
+    }
+
+    #[test]
+    fn put_batch_matches_the_writer_encoder() {
+        let specials = [f64::NAN, -0.0, f64::INFINITY, 1e-300, 42.5];
+        for n in [0usize, 1, 2, 5, 1000] {
+            let batch = RecordBatch {
+                bucket: TimeBucket(n as u32 * 3 + 1),
+                keys: (0..n as u64)
+                    .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                    .collect(),
+                rtt: (0..n).map(|i| specials[i % specials.len()]).collect(),
+            };
+            let want = encode_batch_oracle(&batch);
+            assert_eq!(encode_batch(&batch), want, "n={n}");
+            assert_eq!(batch_frame_len(&batch), want.len());
+            let mut out = vec![7u8, 7];
+            let crc = put_batch(&mut out, &batch);
+            assert_eq!(out[2..], want[..], "appends after existing bytes");
+            assert_eq!(
+                crc,
+                crc32(&want[..want.len() - 4]),
+                "returns the sealed CRC"
+            );
+        }
     }
 
     #[test]

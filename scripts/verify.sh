@@ -46,6 +46,9 @@ BLAMEIT_THREADS=8 cargo test --release -q --test crash_recovery
 echo "==> BLAMEIT_THREADS=8 cargo test --release -q --test daemon_overload --test daemon_crash --test daemon_smoke --test daemon_byte_identity"
 BLAMEIT_THREADS=8 cargo test --release -q --test daemon_overload --test daemon_crash --test daemon_smoke --test daemon_byte_identity
 
+echo "==> cargo test --release -q -p blameit-daemon -p blameit --lib"
+cargo test --release -q -p blameit-daemon -p blameit --lib
+
 echo "==> blameitd smoke: 10x surge feed, live scrapes, clean TERM, resume"
 DSTATE=$(mktemp -d)
 WORLD_ARGS=(--scale tiny --seed 2019 --days 2)
