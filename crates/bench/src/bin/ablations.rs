@@ -14,7 +14,7 @@
 //! (how often BlameIt commits to a verdict at all).
 
 use blameit::{
-    assign_blames, enrich_bucket_min_samples, BadnessThresholds, Blame, BlameConfig,
+    assign_blames, enrich_obs_sharded, Backend, BadnessThresholds, Blame, BlameConfig,
     ExpectedRttLearner, RttKey, WorldBackend,
 };
 use blameit_bench::{fmt, organic_world, Args, ConfusionMatrix, Scale};
@@ -39,11 +39,21 @@ fn run_variant(
 ) -> Row {
     let thresholds = BadnessThresholds::default_for(world);
     let backend = WorldBackend::new(world);
+    let enrich = |bucket| {
+        enrich_obs_sharded(
+            &backend,
+            backend.quartets_in(bucket),
+            bucket,
+            &thresholds,
+            min_samples,
+            1,
+        )
+    };
     let mut learner = ExpectedRttLearner::with_window(learner_window_days, 1);
 
     // Warmup learning (strided).
     for bucket in TimeRange::days(warmup_days).buckets().step_by(2) {
-        for q in enrich_bucket_min_samples(&backend, bucket, &thresholds, min_samples) {
+        for q in enrich(bucket) {
             learner.observe(
                 RttKey::Cloud(q.obs.loc, q.obs.mobile),
                 bucket.day(),
@@ -65,7 +75,7 @@ fn run_variant(
         SimTime::from_days(warmup_days + 1),
     );
     for bucket in eval.buckets() {
-        let quartets = enrich_bucket_min_samples(&backend, bucket, &thresholds, min_samples);
+        let quartets = enrich(bucket);
         let (blames, _) = assign_blames(&quartets, &learner, cfg);
         for b in &blames {
             let Some(client) = world.topology().client(b.obs.p24) else {

@@ -12,17 +12,15 @@
 //! core: the same per-bucket RTT streams are aggregated by the legacy
 //! per-record `HashMap` upsert ([`blameit::aggregate_records_reference`]
 //! over row-form records) and by the columnar path
-//! ([`blameit::aggregate_batch_reuse`] over the key-sorted
-//! [`blameit::RecordBatch`] the collector hands the ingest stage, with
-//! an arena and store reused across buckets, as the engine would).
+//! ([`blameit::aggregate_batch`] over the key-sorted
+//! [`blameit::RecordBatch`] the collector hands the ingest stage).
 //! Outputs are asserted bit-identical batch by batch before either
 //! path is timed, and the quartets/sec results land in
 //! `BENCH_ingest.json` for CI to archive.
 
 use blameit::{
-    aggregate_batch_reuse, aggregate_records_reference, render_tick_transcript, Backend,
-    BadnessThresholds, BlameItConfig, BlameItEngine, IngestArena, QuartetStore, RecordBatch,
-    WorldBackend,
+    aggregate_batch, aggregate_records_reference, render_tick_transcript, Backend,
+    BadnessThresholds, BlameItConfig, BlameItEngine, RecordBatch, WorldBackend,
 };
 use blameit_bench::{fmt, json::Json, Args, Scale};
 use blameit_simnet::{partition_quartets, RttRecord, SimTime, TimeRange};
@@ -155,7 +153,7 @@ fn ingest_bench(
                 .expect("WorldBackend always serves the raw record stream")
         })
         .collect();
-    let col_batches: Vec<RecordBatch> = eval
+    let mut col_batches: Vec<RecordBatch> = eval
         .buckets()
         .take(ingest_buckets)
         .map(|b| {
@@ -168,14 +166,12 @@ fn ingest_bench(
 
     // Correctness gate before any timing: the columnar path must be
     // bit-identical to the reference on every batch.
-    let mut arena = IngestArena::new();
-    let mut store = QuartetStore::new();
     let mut quartets: u64 = 0;
-    for (rows, cols) in row_batches.iter().zip(&col_batches) {
-        aggregate_batch_reuse(cols, &mut arena, &mut store);
-        quartets += store.len() as u64;
+    for (rows, cols) in row_batches.iter().zip(&mut col_batches) {
+        let obs = aggregate_batch(cols);
+        quartets += obs.len() as u64;
         assert_eq!(
-            store.to_obs(),
+            obs,
             aggregate_records_reference(rows),
             "columnar ingest diverged from the reference aggregator"
         );
@@ -194,9 +190,8 @@ fn ingest_bench(
         ref_secs = ref_secs.min(started.elapsed().as_secs_f64());
 
         let started = Instant::now();
-        for batch in &col_batches {
-            aggregate_batch_reuse(std::hint::black_box(batch), &mut arena, &mut store);
-            std::hint::black_box(&store);
+        for batch in &mut col_batches {
+            std::hint::black_box(aggregate_batch(std::hint::black_box(batch)));
         }
         col_secs = col_secs.min(started.elapsed().as_secs_f64());
     }
@@ -205,12 +200,10 @@ fn ingest_bench(
     let rps = |secs: f64| records as f64 / secs.max(1e-12);
     let speedup = ref_secs / col_secs.max(1e-12);
     println!(
-        "  batches={} records={} quartets={} (sort fallbacks {}/{} batches)",
+        "  batches={} records={} quartets={}",
         row_batches.len(),
         records,
         quartets,
-        arena.sort_fallbacks,
-        arena.batches,
     );
     println!(
         "  reference: {:.4}s  {:>12.0} records/s  {:>12.0} quartets/s",
@@ -244,8 +237,7 @@ fn ingest_bench(
         .field("columnar_secs", col_secs)
         .field("columnar_quartets_per_sec", qps(col_secs))
         .field("columnar_records_per_sec", rps(col_secs))
-        .field("speedup", speedup)
-        .field("sort_fallbacks", arena.sort_fallbacks);
+        .field("speedup", speedup);
     let path = "BENCH_ingest.json";
     std::fs::write(path, format!("{out}\n")).expect("write BENCH_ingest.json");
     println!("  wrote {path}");

@@ -1,11 +1,12 @@
 //! Minimal JSON writer for machine-readable experiment output.
 //!
 //! The figure binaries print aligned text for humans; downstream
-//! plotting wants JSON. This is a tiny, dependency-free emitter (the
-//! workspace keeps runtime deps at zero) covering exactly the shapes
-//! the harness produces: objects, arrays, strings, numbers, booleans.
+//! plotting wants JSON. This is a tiny value tree covering exactly the
+//! shapes the harness produces: objects, arrays, strings, numbers,
+//! booleans. Strings and numbers go through the same escaper as the
+//! metrics exporters, [`blameit_obs::json`].
 
-use std::fmt::Write as _;
+use blameit_obs::json::{push_json_f64, push_json_str};
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -43,29 +44,8 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) if x.is_finite() => {
-                if *x == x.trunc() && x.abs() < 1e15 {
-                    write!(out, "{}", *x as i64).unwrap();
-                } else {
-                    write!(out, "{x}").unwrap();
-                }
-            }
-            Json::Num(_) => out.push_str("null"),
-            Json::Str(s) => {
-                out.push('"');
-                for ch in s.chars() {
-                    match ch {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32).unwrap(),
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
+            Json::Num(x) => push_json_f64(out, *x),
+            Json::Str(s) => push_json_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -82,7 +62,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    Json::Str(k.clone()).write(out);
+                    push_json_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -177,6 +157,20 @@ mod tests {
     fn cdf_pairs() {
         let j = cdf_json(&[(1.0, 0.25), (2.0, 1.0)]);
         assert_eq!(j.to_string(), "[[1,0.25],[2,1]]");
+    }
+
+    #[test]
+    fn pinned_object_bytes() {
+        let j = Json::obj()
+            .field("ctl\u{1f}\"k", "tab\there")
+            .field("nan", f64::NAN)
+            .field("whole", 1e14)
+            .field("big", 1e15)
+            .field("frac", -0.5);
+        assert_eq!(
+            j.to_string(),
+            r#"{"ctl\u001f\"k":"tab\there","nan":null,"whole":100000000000000,"big":1000000000000000,"frac":-0.5}"#
+        );
     }
 
     #[test]

@@ -32,8 +32,8 @@
 //! responsible for surfacing the returned counts in metrics
 //! ([`crate::metrics::shed_reason`]).
 
-use crate::columnar::RecordBatch;
-use crate::fxhash::{DetHashMap, DetHashSet};
+use crate::columnar::{unpack_subkey, RecordBatch};
+use crate::fxhash::DetHashMap;
 use crate::history::DurationHistory;
 use blameit_topology::{CloudLocId, PathId};
 
@@ -112,8 +112,17 @@ pub struct AdmissionController {
     cfg: AdmissionConfig,
     durations: DurationHistory,
     /// Per-subkey badness streak: (last bucket seen, streak length).
-    streaks: DetHashMap<u64, (u32, u32)>,
+    streaks: StreakMap,
 }
+
+/// Subkey → (last bucket seen, streak length). The subkeys arrive off
+/// the wire, so this map (like the shed pass's `taken` set) keeps std's
+/// seeded SipHash: the Fx hash maps subkeys that differ only in their
+/// location bits to one bucket chain, which a feeder could use to make
+/// every lookup cost O(groups). Neither is iterated, so the seed cannot
+/// reach a decision.
+// lint:allow(sip-hasher): wire-controlled subkeys need a collision-resistant hash; the map is never iterated
+type StreakMap = std::collections::HashMap<u64, (u32, u32)>;
 
 impl AdmissionController {
     /// A controller with the given knobs and empty history.
@@ -121,7 +130,7 @@ impl AdmissionController {
         AdmissionController {
             cfg,
             durations: DurationHistory::new(),
-            streaks: DetHashMap::default(),
+            streaks: StreakMap::default(),
         }
     }
 
@@ -134,28 +143,23 @@ impl AdmissionController {
     /// returned ascending by `(client_time_product, subkey)` — shed
     /// order.
     pub fn score_batch(&self, batch: &RecordBatch) -> Vec<GroupScore> {
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < batch.keys.len() {
-            let subkey = batch.keys[i];
-            let mut j = i + 1;
-            while j < batch.keys.len() && batch.keys[j] == subkey {
-                j += 1;
-            }
-            let records = (j - i) as u32;
-            let elapsed = self.streaks.get(&subkey).map(|&(_, len)| len).unwrap_or(0);
-            let remaining = self
-                .durations
-                .expected_remaining(path_proxy(subkey), elapsed);
-            out.push(GroupScore {
-                subkey,
-                loc: CloudLocId(((subkey >> 25) & 0xFFFF) as u16),
-                records,
-                expected_remaining_buckets: remaining,
-                client_time_product: remaining * records as f64,
-            });
-            i = j;
-        }
+        let mut out: Vec<GroupScore> = groups(&batch.keys)
+            .map(|run| {
+                let subkey = run[0];
+                let records = run.len() as u32;
+                let elapsed = self.streaks.get(&subkey).map(|&(_, len)| len).unwrap_or(0);
+                let remaining = self
+                    .durations
+                    .expected_remaining(path_proxy(subkey), elapsed);
+                GroupScore {
+                    subkey,
+                    loc: unpack_subkey(subkey).0,
+                    records,
+                    expected_remaining_buckets: remaining,
+                    client_time_product: remaining * records as f64,
+                }
+            })
+            .collect();
         out.sort_by(|a, b| {
             a.client_time_product
                 .total_cmp(&b.client_time_product)
@@ -196,7 +200,8 @@ impl AdmissionController {
             // Pass 1: ascending impact, honoring the per-location cap.
             let mut shed_records = 0usize;
             let mut by_loc: DetHashMap<CloudLocId, usize> = DetHashMap::default();
-            let mut taken: DetHashSet<u64> = DetHashSet::default();
+            // lint:allow(sip-hasher): wire-controlled subkeys need a collision-resistant hash; the set is never iterated
+            let mut taken = std::collections::HashSet::<u64>::new();
             for g in &scored[..sheddable] {
                 if shed_records >= need {
                     break;
@@ -227,11 +232,19 @@ impl AdmissionController {
                 }
             }
             if !taken.is_empty() {
-                let keep: Vec<usize> = (0..batch.keys.len())
-                    .filter(|&i| !taken.contains(&batch.keys[i]))
-                    .collect();
-                batch.keys = keep.iter().map(|&i| batch.keys[i]).collect();
-                batch.rtt = keep.iter().map(|&i| batch.rtt[i]).collect();
+                // One lookup per group, not per record: the seeded hash
+                // costs more per lookup than Fx did.
+                let (mut keys, mut rtt) = (Vec::new(), Vec::new());
+                let mut at = 0;
+                for run in groups(&batch.keys) {
+                    let end = at + run.len();
+                    if !taken.contains(&run[0]) {
+                        keys.extend_from_slice(run);
+                        rtt.extend_from_slice(&batch.rtt[at..end]);
+                    }
+                    at = end;
+                }
+                (batch.keys, batch.rtt) = (keys, rtt);
             }
         }
         self.update_streaks(&batch);
@@ -242,12 +255,8 @@ impl AdmissionController {
     /// and folds completed streaks into the duration history.
     fn update_streaks(&mut self, batch: &RecordBatch) {
         let b = batch.bucket.0;
-        let mut i = 0;
-        while i < batch.keys.len() {
-            let subkey = batch.keys[i];
-            while i < batch.keys.len() && batch.keys[i] == subkey {
-                i += 1;
-            }
+        for run in groups(&batch.keys) {
+            let subkey = run[0];
             match self.streaks.get_mut(&subkey) {
                 Some((last, len)) if *last + 1 == b => {
                     *last = b;
@@ -268,13 +277,20 @@ impl AdmissionController {
     }
 }
 
+/// The runs of equal subkeys in a key-sorted batch: one per quartet
+/// group.
+fn groups(keys: &[u64]) -> impl Iterator<Item = &[u64]> {
+    keys.chunk_by(|a, b| a == b)
+}
+
 /// The duration-history key for a subkey: its bucket-invariant low 25
 /// bits (`p24` block + mobile flag), which fit `PathId`'s `u32`. A
 /// proxy — admission runs before routing enrichment, so the real path
 /// is unknown — but stable per client group, which is all the residual
 /// life estimator needs.
 fn path_proxy(subkey: u64) -> PathId {
-    PathId((subkey & 0x01FF_FFFF) as u32)
+    let (_, p24, mobile) = unpack_subkey(subkey);
+    PathId((p24.block() << 1) | mobile as u32)
 }
 
 #[cfg(test)]

@@ -524,14 +524,16 @@ mod tests {
             assert_eq!(b.rtt_records_in(bucket).unwrap(), want, "par={par}");
         }
         // Collector shape: each quartet's samples form one contiguous
-        // run, so columnar ingest never needs its sort fallback, and
-        // the aggregate covers exactly the simulator's quartets.
-        let mut arena = crate::columnar::IngestArena::new();
-        let store = crate::columnar::aggregate_records_into(&want, &mut arena);
-        assert_eq!(arena.sort_fallbacks, 0, "stream must be run-shaped");
+        // run (as many runs as quartets), and the aggregate covers
+        // exactly the simulator's quartets.
+        let runs = 1 + want
+            .windows(2)
+            .filter(|w| (w[0].loc, w[0].p24, w[0].mobile) != (w[1].loc, w[1].p24, w[1].mobile))
+            .count();
+        let agg = crate::quartet::aggregate_records(&want);
+        assert_eq!(runs, agg.len(), "stream must be run-shaped");
         let sim = w.quartets_in(bucket);
-        assert_eq!(store.len(), sim.len());
-        let agg = store.to_obs();
+        assert_eq!(agg.len(), sim.len());
         let mut sim_sorted = sim;
         sim_sorted.sort_by_key(|q| (q.bucket, q.loc, q.p24, q.mobile));
         for (a, s) in agg.iter().zip(&sim_sorted) {

@@ -27,9 +27,14 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// The rustc/Firefox "Fx" multiply-rotate hash, written against
 /// `u64` words so results do not depend on pointer width.
 ///
-/// Not cryptographic and not DoS-resistant — fine here, because every
-/// key the engine hashes is derived from simulator state, not from
-/// untrusted network input.
+/// Not cryptographic and not DoS-resistant: a one-word key hashes to
+/// the word times an odd constant, so keys that differ only in high
+/// bits share their low hash bits — and the table picks a bucket from
+/// the low bits. Keys that arrive off the wire (the daemon's batch
+/// subkeys, whose location sits in bits 25..41) must therefore not go
+/// through it; those maps (`RecordBatch::sort_by_key`, the admission
+/// controller's streaks and shed set) keep std's seeded SipHash under
+/// an annotated `sip-hasher` suppression.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FxHasher {
     hash: u64,

@@ -8,13 +8,13 @@
 //! 10 RTT samples.
 
 use crate::backend::{Backend, RouteInfo};
-use crate::columnar::{aggregate_records_into, IngestArena};
+use crate::columnar::{aggregate_batch, pack_subkey, RecordBatch};
 use crate::ks::{ks_two_sample, KsResult};
 use crate::thresholds::BadnessThresholds;
 use blameit_simnet::{QuartetObs, RttRecord, TimeBucket};
 use blameit_topology::rng::DetRng;
 // lint:allow(sip-hasher): the legacy reference aggregator below keeps the original std hasher on purpose
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Minimum RTT samples for a quartet to be trusted (§2.1).
 pub const MIN_SAMPLES: u32 = 10;
@@ -45,42 +45,24 @@ pub fn enrich_bucket<B: Backend>(
     bucket: TimeBucket,
     thresholds: &BadnessThresholds,
 ) -> Vec<EnrichedQuartet> {
-    enrich_bucket_min_samples(backend, bucket, thresholds, MIN_SAMPLES)
-}
-
-/// [`enrich_bucket`] with an explicit sample floor (for ablations).
-pub fn enrich_bucket_min_samples<B: Backend>(
-    backend: &B,
-    bucket: TimeBucket,
-    thresholds: &BadnessThresholds,
-    min_samples: u32,
-) -> Vec<EnrichedQuartet> {
-    enrich_obs(
+    enrich_obs_sharded(
         backend,
         backend.quartets_in(bucket),
         bucket,
         thresholds,
-        min_samples,
+        MIN_SAMPLES,
+        1,
     )
 }
 
-/// Enrichment over already-fetched observations. Splitting the backend
-/// fetch from the join/classify step lets the engine charge them to
-/// separate profile stages (ingest vs. quartet aggregation).
-pub fn enrich_obs<B: Backend>(
-    backend: &B,
-    obs: Vec<QuartetObs>,
-    bucket: TimeBucket,
-    thresholds: &BadnessThresholds,
-    min_samples: u32,
-) -> Vec<EnrichedQuartet> {
-    enrich_obs_sharded(backend, obs, bucket, thresholds, min_samples, 1)
-}
-
-/// [`enrich_obs`] fanned out over `parallelism` worker threads: the
-/// routing join is a pure per-quartet lookup, so the observation list
-/// splits into contiguous chunks and the enriched output keeps the
-/// input order exactly (`parallelism <= 1` is a plain sequential map).
+/// Enrichment over already-fetched observations, fanned out over
+/// `parallelism` worker threads. Splitting the backend fetch from the
+/// join/classify step lets the engine charge them to separate profile
+/// stages (ingest vs. enrichment). The routing join is a pure
+/// per-quartet lookup, so the observation list splits into contiguous
+/// chunks and the enriched output keeps the input order exactly
+/// (`parallelism <= 1` is a plain sequential map); quartets below
+/// `min_samples` are dropped first.
 pub fn enrich_obs_sharded<B: Backend>(
     backend: &B,
     obs: Vec<QuartetObs>,
@@ -105,17 +87,25 @@ pub fn enrich_obs_sharded<B: Backend>(
 }
 
 /// Groups raw RTT records into quartet observations (the aggregation
-/// the analytics cluster performs on the collector stream, §6.1).
+/// the analytics cluster performs on the collector stream, §6.1), in
+/// canonical `(bucket, loc, p24, mobile)` order.
 ///
-/// Since the columnar rebuild this is a thin wrapper over
-/// [`crate::columnar::aggregate_records_into`]; output (order *and*
-/// every mean's bits) is identical to the legacy per-record upsert
-/// path, now kept as [`aggregate_records_reference`] for the
-/// differential harness and the ingest bench. Callers on a hot loop
-/// should hold their own [`IngestArena`] and call the columnar API
-/// directly to skip the per-call scratch allocation.
+/// Records may span buckets: they split into one [`RecordBatch`] per
+/// bucket, each keeping its records in stream order, and every batch
+/// goes through [`aggregate_batch`]. Output (order *and* every mean's
+/// bits) is identical to [`aggregate_records_reference`].
 pub fn aggregate_records(records: &[RttRecord]) -> Vec<QuartetObs> {
-    aggregate_records_into(records, &mut IngestArena::new()).to_obs()
+    let mut batches: BTreeMap<TimeBucket, RecordBatch> = BTreeMap::new();
+    for r in records {
+        let bucket = r.at.bucket();
+        let batch = batches.entry(bucket).or_insert_with(|| RecordBatch {
+            bucket,
+            ..RecordBatch::default()
+        });
+        batch.keys.push(pack_subkey(r.loc, r.p24, r.mobile));
+        batch.rtt.push(r.rtt_ms);
+    }
+    batches.values_mut().flat_map(aggregate_batch).collect()
 }
 
 /// The pre-columnar aggregation path: one hash upsert per record into
@@ -259,10 +249,10 @@ mod tests {
     #[test]
     fn columnar_matches_reference_bit_for_bit() {
         use blameit_topology::testkit;
-        // Random record streams, including duplicate keys scattered
-        // across the batch (forcing the pair-sort fallback): the
-        // columnar path must reproduce the legacy path's output
-        // exactly, means compared by bits.
+        // Random multi-bucket record streams with duplicate keys
+        // scattered across the batch: the per-bucket split plus the
+        // sort-and-collapse kernel must reproduce the legacy path's
+        // output exactly, means compared by bits.
         testkit::check("quartet::columnar_vs_reference", 64, |rng| {
             let nrecs = rng.below(400) as usize;
             let recs: Vec<RttRecord> = (0..nrecs)
@@ -299,9 +289,9 @@ mod tests {
         // Collector streams concatenate per-client record groups; the
         // concatenation order is an accident of collector scheduling.
         // Permuting whole groups (keeping each key's internal sample
-        // order) must leave the aggregate bit-identical — the sort
-        // that orders runs is keyed on (key, first-index), so run
-        // order cannot leak into the output.
+        // order) must leave the aggregate bit-identical — the batch
+        // sort is stable and keyed on the subkey alone, so run order
+        // cannot leak into the output.
         testkit::check("quartet::run_order_independence", 32, |rng| {
             let ngroups = 2 + rng.below(12) as usize;
             let mut groups: Vec<Vec<RttRecord>> = (0..ngroups)
@@ -318,10 +308,12 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let flat = |gs: &[Vec<RttRecord>]| gs.concat();
-            let before = aggregate_records(&flat(&groups));
+            let aggregate = |gs: &[Vec<RttRecord>]| {
+                aggregate_batch(&mut RecordBatch::from_records(TimeBucket(0), &gs.concat()))
+            };
+            let before = aggregate(&groups);
             rng.shuffle(&mut groups);
-            let after = aggregate_records(&flat(&groups));
+            let after = aggregate(&groups);
             assert_eq!(before.len(), after.len());
             for (b, a) in before.iter().zip(&after) {
                 assert_eq!(b.n, a.n);

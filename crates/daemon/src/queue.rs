@@ -5,7 +5,7 @@
 //! adapter joins the two: buckets before `feed_start` delegate to the
 //! inner backend (warmup history comes from the world, exactly like an
 //! offline run), buckets at or after it aggregate whatever the socket
-//! fed — concatenated, key-sorted, and collapsed through the columnar
+//! fed — concatenated, then key-sorted and collapsed by the columnar
 //! ingest kernel.
 //!
 //! Determinism: for a given multiset of admitted batches pushed in a
@@ -16,7 +16,7 @@
 //! lets [`DurableEngine`](blameit::DurableEngine) journal-replay
 //! through this backend after a crash.
 
-use blameit::columnar::{aggregate_batch_reuse, IngestArena, QuartetStore, RecordBatch};
+use blameit::columnar::{aggregate_batch, RecordBatch};
 use blameit::Backend;
 use blameit_simnet::{QuartetObs, RttRecord, SimTime, TimeBucket, TimeRange};
 use blameit_topology::bgp::BgpChurnEvent;
@@ -107,7 +107,7 @@ impl<B: Backend> Backend for QueueBackend<B> {
         if bucket.0 < self.feed_start.0 {
             return self.inner.quartets_in(bucket);
         }
-        let merged = {
+        let mut merged = {
             let q = self.queued.lock().expect("queue lock");
             let Some(batches) = q.get(&bucket.0) else {
                 return Vec::new();
@@ -124,12 +124,7 @@ impl<B: Backend> Backend for QueueBackend<B> {
             }
             merged
         };
-        let mut merged = merged;
-        merged.sort_by_key();
-        let mut arena = IngestArena::new();
-        let mut store = QuartetStore::new();
-        aggregate_batch_reuse(&merged, &mut arena, &mut store);
-        store.to_obs()
+        aggregate_batch(&mut merged)
     }
 
     fn rtt_records_in(&self, bucket: TimeBucket) -> Option<Vec<RttRecord>> {

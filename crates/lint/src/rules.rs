@@ -148,7 +148,8 @@ impl Rule for WallClock {
 /// type position, turbofish, or import — so the hazard is caught at
 /// the `use` line, before the first map is even built. Annotate the
 /// rare legitimate reference (the alias definitions themselves; the
-/// legacy reference aggregator kept for the differential harness).
+/// legacy reference aggregator kept for the differential harness;
+/// maps keyed on wire input, which need a collision-resistant hash).
 pub struct SipHasher;
 
 impl Rule for SipHasher {

@@ -1,19 +1,20 @@
 //! Differential harness for the columnar ingest path.
 //!
-//! The columnar quartet store replaced the legacy per-record `HashMap`
-//! upsert on the hot path; its contract is *bit* equivalence, not
-//! approximate equivalence. Every test here drives identical RTT
-//! record streams through both aggregators and compares outputs down
-//! to the f64 bit pattern — on organically generated worlds, on
+//! The sort-and-collapse kernel (`aggregate_batch`) replaced the legacy
+//! per-record `HashMap` upsert on the hot path; its contract is *bit*
+//! equivalence, not approximate equivalence. Every test here drives
+//! identical RTT record streams through the kernel and the reference
+//! (`aggregate_records_reference`) and compares outputs down to the
+//! f64 bit pattern — on organically generated worlds, on
 //! chaos-disturbed backends, on adversarial synthetic streams with
-//! duplicates and late (bucket-churned) records, and across
-//! parallelism 1 vs 4 for both the sharded aggregator and full engine
+//! duplicates, late (bucket-churned) and shuffled records, and across
+//! parallelism 1 vs 4 for both the record stream and full engine
 //! transcripts.
 
 use blameit::{
-    aggregate_batch_reuse, aggregate_records_into, aggregate_records_reference,
-    aggregate_records_sharded, render_tick_transcript, Backend, BadnessThresholds, BlameItConfig,
-    BlameItEngine, ChaosBackend, IngestArena, QuartetStore, RecordBatch, TickOutput, WorldBackend,
+    aggregate_batch, aggregate_records, aggregate_records_reference, render_tick_transcript,
+    Backend, BadnessThresholds, BlameItConfig, BlameItEngine, ChaosBackend, RecordBatch,
+    TickOutput, WorldBackend,
 };
 use blameit_bench::{quiet_world, Scale};
 use blameit_simnet::{
@@ -90,46 +91,41 @@ fn faulty_world(rng: &mut DetRng) -> (World, SimTime) {
 #[test]
 fn columnar_matches_reference_on_organic_streams_across_threads() {
     // 8 seeded worlds; for each, every bucket of a faulty hour is
-    // aggregated four ways — reference upsert, columnar single-shot,
-    // columnar with arena/store reuse, sharded at 1 and 4 threads —
-    // and all must agree bit for bit.
+    // served by backends at 1 and 4 threads and aggregated three ways —
+    // reference upsert, the raw stream-order batch, and the
+    // collector-sorted batch (the daemon's ingest shape) — and all must
+    // agree bit for bit.
     check("columnar_equivalence::organic", 8, |rng| {
         let (world, fault_start) = faulty_world(rng);
         let eval = TimeRange::new(fault_start, fault_start + 3_600);
-        let backend = WorldBackend::with_parallelism(&world, 1);
-        let mut arena = IngestArena::new();
         let mut nonempty = 0usize;
-        for bucket in eval.buckets() {
-            let records = backend
-                .rtt_records_in(bucket)
-                .expect("WorldBackend serves the raw record stream");
-            nonempty += usize::from(!records.is_empty());
-            let want = aggregate_records_reference(&records);
-            let store = aggregate_records_into(&records, &mut arena);
-            assert_bit_identical(&store.to_obs(), &want, "columnar vs reference");
-            // The collector-sorted columnar batch (the engine's hot
-            // ingest shape) must agree too, with zero sort fallbacks.
-            let batch = backend
-                .record_batch_in(bucket)
-                .expect("WorldBackend serves columnar batches");
-            let before = arena.sort_fallbacks;
-            let mut batch_store = QuartetStore::new();
-            aggregate_batch_reuse(&batch, &mut arena, &mut batch_store);
-            assert_eq!(
-                arena.sort_fallbacks, before,
-                "sorted batches never fall back"
-            );
-            assert_bit_identical(
-                &batch_store.to_obs(),
-                &want,
-                "sorted batch kernel vs reference",
-            );
-            for threads in [1usize, 4] {
-                let sharded = aggregate_records_sharded(&records, threads);
+        for threads in [1usize, 4] {
+            let backend = WorldBackend::with_parallelism(&world, threads);
+            for bucket in eval.buckets() {
+                let records = backend
+                    .rtt_records_in(bucket)
+                    .expect("WorldBackend serves the raw record stream");
+                nonempty += usize::from(!records.is_empty());
+                let want = aggregate_records_reference(&records);
                 assert_bit_identical(
-                    &sharded.to_obs(),
+                    &aggregate_records(&records),
                     &want,
-                    &format!("sharded({threads}) vs reference"),
+                    &format!("columnar({threads}) vs reference"),
+                );
+                let mut raw = RecordBatch::from_records(bucket, &records);
+                assert_bit_identical(
+                    &aggregate_batch(&mut raw),
+                    &want,
+                    &format!("raw batch({threads}) vs reference"),
+                );
+                let mut sorted = backend
+                    .record_batch_in(bucket)
+                    .expect("WorldBackend serves columnar batches");
+                assert_eq!(sorted, raw, "collector sort matches the kernel's");
+                assert_bit_identical(
+                    &aggregate_batch(&mut sorted),
+                    &want,
+                    &format!("sorted batch({threads}) vs reference"),
                 );
             }
         }
@@ -154,7 +150,6 @@ fn chaos_streams_aggregate_identically_and_transcripts_agree() {
         ][rng.index(3)];
 
         // Record-stream equivalence through the chaos decorator.
-        let mut arena = IngestArena::new();
         for threads in [1usize, 4] {
             let chaos = ChaosBackend::new(WorldBackend::with_parallelism(&world, threads), plan);
             for bucket in eval.buckets() {
@@ -162,8 +157,11 @@ fn chaos_streams_aggregate_identically_and_transcripts_agree() {
                     .rtt_records_in(bucket)
                     .expect("chaos backend serves the record stream");
                 let want = aggregate_records_reference(&records);
-                let store = aggregate_records_into(&records, &mut arena);
-                assert_bit_identical(&store.to_obs(), &want, "chaos columnar vs reference");
+                assert_bit_identical(
+                    &aggregate_records(&records),
+                    &want,
+                    "chaos columnar vs reference",
+                );
             }
         }
 
@@ -200,9 +198,10 @@ fn chaos_streams_aggregate_identically_and_transcripts_agree() {
 fn duplicate_and_late_records_keep_both_paths_bit_identical() {
     // Adversarial synthetic streams: heavy duplication (the same
     // record re-delivered), late records whose bucket churns behind
-    // the stream head (interleaved old/new buckets force the columnar
-    // fallback sort), and whole-group shuffles. The fallback must
-    // reproduce the reference's stream-order accumulation exactly.
+    // the stream head (interleaved old/new buckets), and a full
+    // shuffle. The batch sort must keep each key's samples in stream
+    // order, so the collapse reproduces the reference's accumulation
+    // exactly.
     check("columnar_equivalence::duplicates_late", 8, |rng| {
         let mut records: Vec<RttRecord> = Vec::new();
         let buckets = [TimeBucket(300), TimeBucket(301), TimeBucket(302)];
@@ -248,9 +247,11 @@ fn duplicate_and_late_records_keep_both_paths_bit_identical() {
         rng.shuffle(&mut records);
 
         let want = aggregate_records_reference(&records);
-        let mut arena = IngestArena::new();
-        let store = aggregate_records_into(&records, &mut arena);
-        assert_bit_identical(&store.to_obs(), &want, "adversarial columnar vs reference");
+        assert_bit_identical(
+            &aggregate_records(&records),
+            &want,
+            "adversarial columnar vs reference",
+        );
         // Per-bucket columnar batches (raw and collector-sorted) must
         // agree with the reference restricted to that bucket.
         for &bucket in &buckets {
@@ -261,26 +262,16 @@ fn duplicate_and_late_records_keep_both_paths_bit_identical() {
                 .collect();
             let bucket_want = aggregate_records_reference(&in_bucket);
             let mut batch = RecordBatch::from_records(bucket, &in_bucket);
-            let mut batch_store = QuartetStore::new();
-            aggregate_batch_reuse(&batch, &mut arena, &mut batch_store);
             assert_bit_identical(
-                &batch_store.to_obs(),
+                &aggregate_batch(&mut batch.clone()),
                 &bucket_want,
                 "raw batch vs reference",
             );
             batch.sort_by_key();
-            aggregate_batch_reuse(&batch, &mut arena, &mut batch_store);
             assert_bit_identical(
-                &batch_store.to_obs(),
+                &aggregate_batch(&mut batch),
                 &bucket_want,
                 "sorted batch vs reference",
-            );
-        }
-        for threads in [1usize, 4] {
-            assert_bit_identical(
-                &aggregate_records_sharded(&records, threads).to_obs(),
-                &want,
-                &format!("adversarial sharded({threads}) vs reference"),
             );
         }
     });

@@ -9,15 +9,17 @@
 
 use blameit::Backend;
 use blameit::{
-    render_tick_transcript, BadnessThresholds, BlameItConfig, RecordBatch, StartMode, TickOutput,
-    WorldBackend,
+    pack_subkey, render_tick_transcript, AdmissionConfig, AdmissionController, AdmissionDecision,
+    BadnessThresholds, BlameItConfig, RecordBatch, StartMode, TickOutput, WorldBackend,
 };
 use blameit_bench::{quiet_world, Scale};
 use blameit_daemon::{DaemonConfig, DaemonCore, IngestStats, OfferReply, ShedEntry};
 use blameit_obs::{FlightTrigger, MetricsRegistry};
 use blameit_simnet::{SurgePlan, TimeBucket, TimeRange, World};
+use blameit_topology::{CloudLocId, Prefix24};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn state_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("blameit-dov-{tag}-{}", std::process::id()));
@@ -188,4 +190,44 @@ fn quiet_feed_sheds_nothing() {
     assert!(run.shed_log.is_empty());
     assert_eq!(run.stats.offered, run.stats.admitted);
     assert!(!run.overload_fired, "no overload episode on a quiet feed");
+}
+
+#[test]
+fn location_only_distinct_subkeys_cannot_flood_admission() {
+    // Every subkey differs from the others only in its location bits
+    // (25..41). A hash that keeps those bits out of its low bits sends
+    // all of them down one probe chain, and each admission lookup then
+    // costs O(groups): quadratic in the offer. Half the groups must be
+    // shed (the shed pass's `taken` set) and the other half start
+    // streaks; the next bucket's offer looks every group up again.
+    let keys: Vec<u64> = (0..=u16::MAX)
+        .map(|loc| pack_subkey(CloudLocId(loc), Prefix24::from_block(0x00AB_CDEF), false))
+        .collect();
+    let groups = keys.len();
+    let mut admission = AdmissionController::new(AdmissionConfig {
+        queue_cap_records: 4 * groups,
+        shed_watermark_records: groups / 2,
+        per_loc_shed_cap: groups,
+        retry_after_secs: 1,
+    });
+    let started = Instant::now();
+    for bucket in [TimeBucket(500), TimeBucket(501)] {
+        let batch = RecordBatch {
+            bucket,
+            keys: keys.clone(),
+            rtt: (0..groups).map(|i| 20.0 + (i % 97) as f64).collect(),
+        };
+        match admission.offer(batch, 0) {
+            AdmissionDecision::Admit { batch, shed } => {
+                assert_eq!(shed.len(), groups / 2, "the shed pass ran");
+                assert_eq!(batch.len(), groups / 2);
+            }
+            other => panic!("expected an admit, got {other:?}"),
+        }
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(5),
+        "two offers of {groups} location-only-distinct groups took {took:?}"
+    );
 }
